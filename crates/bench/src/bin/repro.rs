@@ -7,14 +7,16 @@
 //! ```
 //!
 //! Default runs all experiments at paper scale; `--quick` shrinks workloads
-//! for smoke runs. `--threads N` sets the world-evaluation thread budget
-//! (`0` = all cores) for the sweep/Markov experiments e2–e6 — a pure
-//! wall-clock knob, since every sweep is bit-identical for any budget. E1
-//! (engine comparison) and E7 (accuracy) don't consume it, and E8 always
-//! measures its own 1/2/4/8 ladder. `--deterministic` redacts wall-clock
-//! columns so two runs (e.g. `--threads 1` vs `--threads 4`) emit
-//! byte-identical markdown; the CI smoke job diffs exactly that. Output is
-//! markdown, suitable for pasting into `EXPERIMENTS.md`.
+//! for smoke runs. `--exp` takes a comma-separated subset of `e1`–`e14`; an
+//! unknown name or a missing list is an error (exit 2). `--threads N` sets
+//! the world-evaluation thread budget (`0` = all cores) for the sweep/Markov
+//! experiments e2–e6 — a pure wall-clock knob, since every sweep is
+//! bit-identical for any budget. E1 (engine comparison) and E7 (accuracy)
+//! don't consume it, and E8 always measures its own 1/2/4/8 ladder.
+//! `--deterministic` redacts wall-clock columns so two runs (e.g.
+//! `--threads 1` vs `--threads 4`) emit byte-identical markdown; the CI
+//! smoke job diffs exactly that. Output is markdown, suitable for pasting
+//! into `EXPERIMENTS.md`.
 //!
 //! `--save-basis DIR` makes E9's cold sweeps persist their basis stores as
 //! snapshots under `DIR`; `--load-basis DIR` warm-starts E9's warm sweeps
@@ -40,6 +42,10 @@ use std::path::PathBuf;
 
 use jigsaw_bench::experiments::{e1, e10, e11, e12, e13, e14, e2, e3, e4, e5, e6, e7, e8, e9};
 use jigsaw_bench::{Scale, Table};
+
+/// The experiment names `--exp` accepts.
+const EXPERIMENTS: &[&str] =
+    &["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -85,12 +91,24 @@ fn main() {
         jigsaw_pdb::force_eval_path(path);
     }
     let scale = (if quick { Scale::QUICK } else { Scale::FULL }).with_threads(threads);
-    let selected: Vec<String> = args
-        .iter()
-        .position(|a| a == "--exp")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.split(',').map(|x| x.trim().to_lowercase()).collect())
-        .unwrap_or_default();
+    let selected: Vec<String> = match args.iter().position(|a| a == "--exp") {
+        None => Vec::new(),
+        Some(i) => {
+            let names: Vec<String> = args
+                .get(i + 1)
+                .map(|s| s.split(',').map(|x| x.trim().to_lowercase()).collect())
+                .unwrap_or_default();
+            let valid = |name: &String| EXPERIMENTS.contains(&name.as_str());
+            if names.is_empty() || !names.iter().all(valid) {
+                eprintln!(
+                    "error: --exp requires a comma-separated list of {}",
+                    EXPERIMENTS.join(",")
+                );
+                std::process::exit(2);
+            }
+            names
+        }
+    };
     // `--sketch` narrows the run to E12, exactly like `--exp e12`.
     let want = |name: &str| {
         if sketch_only {

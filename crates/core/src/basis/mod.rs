@@ -9,24 +9,26 @@
 //! index proposes candidates, the mapping family validates them, and the
 //! first validated mapping wins.
 //!
-//! ## Wave execution split
+//! ## The reuse kernel
 //!
-//! The batch-synchronous executor (`optimizer::executor`) splits the store's
-//! lifecycle per wave into a **frozen resolve path** and a **batched commit
-//! path**:
+//! The sweep executor and the interactive session share one reuse path:
 //!
-//! * [`FrozenBasisView`] is an immutable snapshot handle: it answers
-//!   `find_match` without mutating anything (candidate counting is returned,
-//!   not accumulated), so it can be consulted from parallel workers.
-//! * [`BasisStore::stage`] registers a new basis *fingerprint* the moment a
-//!   miss is discovered — later points in the same wave can match against it
-//!   — while its metrics stay pending until the completion simulations
-//!   finish and [`BasisStore::commit_staged`] lands them, in enumeration
-//!   order, at the wave barrier.
+//! * [`BasisStore::resolve`] runs `FindMatch` on a fingerprint and returns a
+//!   [`Resolved`]. A hit carries the matched basis and its mapping. A miss
+//!   *stages* the fingerprint as a new basis at once, with its metrics
+//!   pending, so later probes (the rest of a sweep wave) match against it.
+//! * [`BasisStore::commit_staged`] lands a miss's metrics once its
+//!   completion samples exist. The executor commits a wave's misses in
+//!   enumeration order at the wave barrier; a session commits its
+//!   fingerprint head immediately.
+//! * [`BasisStore::mapped`] is `M_est`: the matched basis's metrics pushed
+//!   through the mapping. It is the only place mapped metrics are built.
 //!
 //! Because candidates are proposed in deterministic (insertion) order and
-//! staging happens in enumeration order, a wave replay is bit-identical to
+//! resolves run in enumeration order, a wave replay is bit-identical to
 //! the fully sequential point loop for any thread count.
+//! [`FrozenBasisView`] offers the same `FindMatch` read-only, for
+//! measurements that must not bump the store's counters.
 //!
 //! ## Cross-sweep persistence
 //!
@@ -60,6 +62,15 @@ use crate::mapping::{AffineMap, MappingFamily};
 /// Identifier of a basis distribution within a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BasisId(pub usize);
+
+/// The outcome of [`BasisStore::resolve`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Resolved {
+    /// A basis whose image under the mapping matches the fingerprint.
+    Hit(BasisId, AffineMap),
+    /// No match: the fingerprint was staged as this new basis.
+    Miss(BasisId),
+}
 
 /// One memoized simulation: fingerprint plus computed output metrics.
 #[derive(Debug, Clone)]
@@ -140,7 +151,7 @@ impl BasisStore {
         self.bases.get(id.0)
     }
 
-    /// An immutable resolve view over the current contents.
+    /// A read-only `FindMatch` view over the current contents.
     pub fn freeze(&self) -> FrozenBasisView<'_> {
         FrozenBasisView { store: self }
     }
@@ -186,11 +197,20 @@ impl BasisStore {
         self.staged -= 1;
     }
 
-    /// Resolve metrics for a fingerprint: reuse through a mapping when one
-    /// exists. Returns `(metrics, Some(basis))` on reuse, `None` on miss.
-    pub fn resolve(&mut self, fp: &Fingerprint) -> Option<(OutputMetrics, BasisId)> {
-        let (id, m) = self.find_match(fp)?;
-        Some((m.apply_metrics(&self.get(id).metrics), id))
+    /// The reuse decision for one fingerprint: on a hit, the matched basis
+    /// and mapping; on a miss, `fp` is staged as a new basis (metrics
+    /// pending until [`Self::commit_staged`]).
+    pub fn resolve(&mut self, fp: Fingerprint) -> Resolved {
+        match self.find_match(&fp) {
+            Some((id, map)) => Resolved::Hit(id, map),
+            None => Resolved::Miss(self.stage(fp)),
+        }
+    }
+
+    /// `M_est`: basis `id`'s metrics mapped through `map`. The basis must be
+    /// committed.
+    pub fn mapped(&self, id: BasisId, map: AffineMap) -> OutputMetrics {
+        map.apply_metrics(&self.get(id).metrics)
     }
 
     /// Fold additional samples into a basis (interactive refinement).
@@ -199,30 +219,14 @@ impl BasisStore {
     }
 }
 
-/// A read-only resolve view over a [`BasisStore`] — the frozen half of the
-/// wave split. All lookups are side-effect free; the number of candidate
-/// pairings tested is *returned* so the caller can fold it into telemetry
-/// deterministically.
+/// A read-only `FindMatch` view over a [`BasisStore`]. Lookups are side-effect
+/// free; the number of candidate pairings tested is *returned* rather than
+/// accumulated.
 pub struct FrozenBasisView<'a> {
     store: &'a BasisStore,
 }
 
 impl FrozenBasisView<'_> {
-    /// Number of bases visible to this view.
-    pub fn len(&self) -> usize {
-        self.store.bases.len()
-    }
-
-    /// True when the view is empty.
-    pub fn is_empty(&self) -> bool {
-        self.store.bases.is_empty()
-    }
-
-    /// Fetch a basis by id.
-    pub fn get(&self, id: BasisId) -> &BasisDistribution {
-        self.store.get(id)
-    }
-
     /// Algorithm 3 without side effects: the first candidate (in the
     /// index's deterministic proposal order) validated by the mapping
     /// family wins. Returns the hit and the number of pairings tested.
@@ -238,19 +242,12 @@ impl FrozenBasisView<'_> {
         }
         (None, pairings)
     }
-
-    /// Resolve mapped metrics for a fingerprint without mutating the store.
-    /// The matched basis must be committed (metrics landed).
-    pub fn resolve(&self, fp: &Fingerprint) -> (Option<(OutputMetrics, BasisId)>, u64) {
-        let (hit, pairings) = self.find_match(fp);
-        (hit.map(|(id, m)| (m.apply_metrics(&self.get(id).metrics), id)), pairings)
-    }
 }
 
 /// Per-column basis shards for one simulation — output column `c` is shard
 /// `c`. Columns never share bases (their output distributions are unrelated
-/// random variables), so the sweep executor freezes, probes, and commits
-/// each shard independently.
+/// random variables), so the sweep executor resolves and commits each shard
+/// independently.
 pub struct ShardedBasisStore {
     shards: Vec<BasisStore>,
 }
@@ -342,9 +339,30 @@ mod tests {
     fn resolve_maps_metrics() {
         let mut s = store(IndexStrategy::Array);
         s.insert(fp(&[0.0, 1.0, 2.0]), metrics(&[0.0, 1.0, 2.0, 0.5, 1.5]));
-        let (m, _) = s.resolve(&fp(&[10.0, 12.0, 14.0])).expect("reuse");
+        let (id, map) = s.find_match(&fp(&[10.0, 12.0, 14.0])).expect("reuse");
+        let m = s.mapped(id, map);
         // 2x + 10 applied to mean 1.0 → 12.0.
         assert!((m.expectation() - 12.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn resolve_stages_exactly_one_basis_per_miss() {
+        let mut s = store(IndexStrategy::Normalization);
+        let base = fp(&[0.0, 1.0, 2.0, 4.0]);
+        let id = match s.resolve(base.clone()) {
+            Resolved::Miss(id) => id,
+            hit => panic!("empty store must miss, got {hit:?}"),
+        };
+        assert_eq!((s.len(), s.staged()), (1, 1), "a miss stages exactly one basis");
+        assert_eq!(s.get(id).fingerprint.entries(), base.entries());
+        s.commit_staged(id, metrics(&[0.0, 1.0, 2.0, 4.0, 3.0]));
+
+        let image = fp(&[1.0, 3.0, 5.0, 9.0]); // 2x + 1
+        let expected = s.find_match(&image).expect("affine image matches");
+        let pairings = s.pairings_tested;
+        assert_eq!(s.resolve(image), Resolved::Hit(expected.0, expected.1));
+        assert_eq!((s.len(), s.staged()), (1, 0), "a hit stages nothing");
+        assert_eq!(s.pairings_tested, pairings + 1, "resolve runs FindMatch once");
     }
 
     #[test]
@@ -421,8 +439,8 @@ mod tests {
             let (hit, pairings) = view.find_match(&fp(&[1.0, 3.0, 5.0]));
             assert_eq!(hit.map(|(i, _)| i), Some(id));
             assert_eq!(pairings, 1);
-            let (resolved, _) = view.resolve(&fp(&[1.0, 3.0, 5.0]));
-            let (m, _) = resolved.expect("hit");
+            let (id, map) = hit.expect("hit");
+            let m = s.mapped(id, map);
             assert!((m.expectation() - 3.0).abs() < 1e-9); // 2x+1 over mean 1
         }
         assert_eq!(s.pairings_tested, before, "frozen view must not mutate counters");

@@ -176,7 +176,7 @@ impl SharedBasisStore {
     }
 
     /// Run `f` with exclusive (write-locked) access to the store. Session
-    /// bookkeeping (resolve/insert/refine) should keep world evaluation
+    /// bookkeeping (resolve/commit/refine) should keep world evaluation
     /// outside the closure; a full sweep deliberately runs inside it — see
     /// the module docs on why that serialization is load-bearing.
     pub fn with_store_mut<R>(&self, f: impl FnOnce(&mut ShardedBasisStore) -> R) -> R {

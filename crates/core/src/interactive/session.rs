@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use jigsaw_pdb::{OutputMetrics, PdbError, Result, Simulation};
 
-use crate::basis::{BasisId, ShardedBasisStore, SharedBasisStore};
+use crate::basis::{BasisId, BasisStore, Resolved, ShardedBasisStore, SharedBasisStore};
 use crate::config::JigsawConfig;
 use crate::fingerprint::Fingerprint;
 use crate::mapping::{AffineFamily, AffineMap};
@@ -145,6 +145,26 @@ struct PointColState {
     /// mean w.h.p., so their intersection does too and can only shrink.
     /// This is what makes the streamed `INTERVAL` sequence non-widening.
     bound: Option<(f64, f64)>,
+}
+
+impl PointColState {
+    /// The mapped basis metrics, when the matched basis holds more samples
+    /// than the direct ones — the richer of the two sources is the one an
+    /// estimate serves. `None` when there is no basis link, the id is out
+    /// of `store`'s range, or the direct samples are at least as rich.
+    fn mapped(&self, store: &BasisStore) -> Option<OutputMetrics> {
+        let (id, map) = self.basis?;
+        let basis = store.try_get(id)?;
+        (basis.metrics.n() > self.metrics.n()).then(|| store.mapped(id, map))
+    }
+
+    /// Tighten the running bound with the raw CLT interval of whichever
+    /// source an estimate now serves.
+    fn tighten(&mut self, store: &BasisStore) {
+        let mapped = self.mapped(store);
+        let raw = mapped.as_ref().unwrap_or(&self.metrics).expectation_interval(BOUND_Z);
+        tighten_bound(&mut self.bound, raw);
+    }
 }
 
 /// Fold a fresh raw bound into the running intersection. A drifting mean
@@ -409,7 +429,7 @@ impl InteractiveSession {
         let m = self.cfg.fingerprint_len;
         let point = self.sim.space().point_at(point_idx);
         // Monte Carlo work happens outside the store lock; only the
-        // resolve/insert bookkeeping below holds it.
+        // resolve/commit bookkeeping below holds it.
         let head =
             jigsaw_pdb::eval_batch(&*self.sim, &point, 0, m, self.cfg.threads)?.into_columns();
         self.worlds_evaluated += m as u64;
@@ -429,35 +449,25 @@ impl InteractiveSession {
                 // mapping to it, so its own refinements grow the shared basis
                 // (paper §5: refinement "improves the accuracy of the basis
                 // distribution's precomputed metrics").
-                let basis = match store.find_match(&fp) {
-                    Some(hit) => {
-                        warm &= !own[c].contains(&hit.0 .0);
-                        Some(hit)
+                let basis = match store.resolve(fp) {
+                    Resolved::Hit(id, map) => {
+                        warm &= !own[c].contains(&id.0);
+                        (id, map)
                     }
-                    None => {
+                    Resolved::Miss(id) => {
                         warm = false;
-                        let id = store.insert(fp, metrics.clone());
+                        store.commit_staged(id, metrics.clone());
                         own[c].insert(id.0);
-                        Some((id, AffineMap::IDENTITY))
+                        (id, AffineMap::IDENTITY)
                     }
                 };
                 // Tier-0 bound: whatever the richer of (mapped basis,
                 // fingerprint head) already supports, without any further
                 // simulation.
-                let raw = match &basis {
-                    Some((id, map)) => {
-                        let b = store.get(*id);
-                        if b.metrics.n() > metrics.n() {
-                            map.apply_metrics(&b.metrics).expectation_interval(BOUND_Z)
-                        } else {
-                            metrics.expectation_interval(BOUND_Z)
-                        }
-                    }
-                    None => metrics.expectation_interval(BOUND_Z),
-                };
-                let mut bound = None;
-                tighten_bound(&mut bound, raw);
-                cols.push(PointColState { n_direct: m, metrics, basis, bound });
+                let mut col =
+                    PointColState { n_direct: m, metrics, basis: Some(basis), bound: None };
+                col.tighten(store);
+                cols.push(col);
             }
             (cols, warm)
         });
@@ -538,20 +548,7 @@ impl InteractiveSession {
                         col.basis = None;
                     }
                 }
-                // Tighten the running bound with the raw interval of
-                // whichever source `estimate()` will now serve.
-                let raw = match col.basis {
-                    Some((id, map)) => {
-                        let basis = stores.shard_mut(c).get(id);
-                        if basis.metrics.n() > col.metrics.n() {
-                            map.apply_metrics(&basis.metrics).expectation_interval(BOUND_Z)
-                        } else {
-                            col.metrics.expectation_interval(BOUND_Z)
-                        }
-                    }
-                    None => col.metrics.expectation_interval(BOUND_Z),
-                };
-                tighten_bound(&mut col.bound, raw);
+                col.tighten(stores.shard(c));
             }
         });
         Ok(())
@@ -566,10 +563,9 @@ impl InteractiveSession {
             TaskKind::Exploration => self.explore_heuristic(),
         };
         self.touch(target)?;
-        match task {
-            TaskKind::Refinement | TaskKind::Exploration => self.generate_batch(target)?,
-            TaskKind::Validation => self.generate_batch(target)?,
-        }
+        // Every task folds one batch into its target; validation happens
+        // inside `generate_batch` for any point with a basis link.
+        self.generate_batch(target)?;
         Ok(task)
     }
 
@@ -578,44 +574,29 @@ impl InteractiveSession {
     pub fn estimate(&self, point_idx: usize, col: usize) -> Option<Estimate> {
         let state = self.points.get(&point_idx)?;
         let c = &state.cols[col];
-        if let Some((id, map)) = c.basis {
-            // `&self` cannot drop stale links, but it can refuse to follow
-            // them: if the store was replaced since this session last
-            // synced (generation observed under the same lock as the
-            // dereference), the cached id may alias an unrelated basis at
-            // the same index — fall back to the direct samples instead.
-            let mapped = self.store.with_store_versioned(|generation, stores| {
-                if generation != self.seen_generation {
-                    return None;
-                }
-                stores
-                    .shard(col)
-                    .try_get(id)
-                    .filter(|basis| basis.metrics.n() > c.metrics.n())
-                    .map(|basis| map.apply_metrics(&basis.metrics))
-            });
-            if let Some(mapped) = mapped {
-                let (lo, hi) = effective_bound(c.bound, mapped.expectation_interval(BOUND_Z));
-                return Some(Estimate {
-                    point_idx,
-                    expectation: mapped.expectation(),
-                    std_dev: mapped.std_dev(),
-                    lo,
-                    hi,
-                    n_samples: mapped.n(),
-                    source: EstimateSource::MappedBasis,
-                });
-            }
-        }
-        let (lo, hi) = effective_bound(c.bound, c.metrics.expectation_interval(BOUND_Z));
+        // `&self` cannot drop stale links, but it can refuse to follow
+        // them: if the store was replaced since this session last synced
+        // (generation observed under the same lock as the dereference), the
+        // cached id may alias an unrelated basis at the same index — fall
+        // back to the direct samples instead.
+        let mapped = c.basis.and_then(|_| {
+            self.store.with_store_versioned(|generation, stores| {
+                (generation == self.seen_generation).then(|| c.mapped(stores.shard(col))).flatten()
+            })
+        });
+        let (served, source) = match &mapped {
+            Some(mapped) => (mapped, EstimateSource::MappedBasis),
+            None => (&c.metrics, EstimateSource::Direct),
+        };
+        let (lo, hi) = effective_bound(c.bound, served.expectation_interval(BOUND_Z));
         Some(Estimate {
             point_idx,
-            expectation: c.metrics.expectation(),
-            std_dev: c.metrics.std_dev(),
+            expectation: served.expectation(),
+            std_dev: served.std_dev(),
             lo,
             hi,
-            n_samples: c.metrics.n(),
-            source: EstimateSource::Direct,
+            n_samples: served.n(),
+            source,
         })
     }
 

@@ -8,12 +8,12 @@
 //!    so each evaluation is a pure function of `(point, k)` and the phase is
 //!    embarrassingly parallel.
 //! 2. **Resolve** (sequential, at the barrier) — walking the wave in
-//!    enumeration order, each column's fingerprint is matched against its
-//!    [`BasisStore`] shard. Misses *stage* a new basis immediately
-//!    (fingerprint registered, metrics pending), so later points of the
-//!    same wave match against it exactly as the sequential point loop
-//!    would. This phase touches no simulation worlds; it is cheap O(m)
-//!    float work per candidate.
+//!    enumeration order, each column's fingerprint goes through its
+//!    [`BasisStore`] shard's [`BasisStore::resolve`]. Misses *stage* a new
+//!    basis immediately (fingerprint registered, metrics pending), so later
+//!    points of the same wave match against it exactly as the sequential
+//!    point loop would. This phase touches no simulation worlds; it is
+//!    cheap O(m) float work per candidate.
 //! 3. **Completion** (parallel) — points with at least one missed column
 //!    evaluate worlds `m..n`. Jobs are split into world chunks so a handful
 //!    of misses still saturates the thread budget; chunks stitch back in
@@ -22,7 +22,7 @@
 //! 4. **Commit** (sequential, at the barrier) — in enumeration order,
 //!    missed columns assemble their `0..n` sample vectors, land their
 //!    staged metrics, and reused columns map their matched basis's
-//!    (by-now-committed) metrics.
+//!    (by-now-committed) metrics through [`BasisStore::mapped`].
 //!
 //! Because phases 2 and 4 replay the exact decision sequence of the
 //! sequential loop — same store contents at every probe, same candidate
@@ -61,10 +61,10 @@ use std::time::Instant;
 use jigsaw_obs::span;
 use jigsaw_pdb::{OutputMetrics, Result, Simulation, WorldBatch};
 
-use crate::basis::{BasisId, ShardedBasisStore};
+use crate::basis::{Resolved, ShardedBasisStore};
 use crate::config::JigsawConfig;
 use crate::fingerprint::Fingerprint;
-use crate::mapping::{AffineMap, MappingFamily};
+use crate::mapping::MappingFamily;
 use crate::optimizer::selector::sketch_frontier;
 use crate::optimizer::{PointResult, SweepResult};
 use crate::telemetry::{SweepStats, WaveReuse};
@@ -149,18 +149,13 @@ fn exec_obs() -> &'static ExecObs {
 
 /// How one column of one wave slot obtains its metrics at commit time.
 enum ColPlan {
-    /// Mapped reuse from a matched basis (possibly staged earlier in the
-    /// same wave; committed by the time this slot commits).
-    Reuse(BasisId, AffineMap),
-    /// Fresh metrics from this point's own `0..n` samples.
-    Fresh(FreshSource),
-}
-
-/// Where a fresh column's `0..m` sample prefix lives.
-enum FreshSource {
-    /// In the staged basis's fingerprint (normal reuse-enabled operation).
-    Staged(BasisId),
-    /// Carried inline (reuse disabled: nothing is staged).
+    /// The store's reuse decision. A hit maps its basis (possibly staged
+    /// earlier in the same wave; committed by the time this slot commits);
+    /// a miss commits the staged basis from this point's own `0..n`
+    /// samples, whose `0..m` prefix is the staged fingerprint.
+    Store(Resolved),
+    /// Reuse disabled: fresh metrics from the `0..m` prefix carried here
+    /// plus the completion tail. Nothing is staged.
     Inline(Vec<f64>),
 }
 
@@ -311,22 +306,15 @@ fn execute_pass(
             let mut cols = Vec::with_capacity(n_cols);
             let mut needs_tail = false;
             for (c, samples) in head.into_columns().into_iter().enumerate() {
-                if disable_reuse {
-                    needs_tail = true;
-                    cols.push(ColPlan::Fresh(FreshSource::Inline(samples)));
-                    continue;
-                }
-                // The head samples move straight into the fingerprint —
-                // no per-miss double copy.
-                let fp = Fingerprint::new(samples);
-                let store = stores.shard_mut(c);
-                match store.find_match(&fp) {
-                    Some((id, map)) => cols.push(ColPlan::Reuse(id, map)),
-                    None => {
-                        needs_tail = true;
-                        cols.push(ColPlan::Fresh(FreshSource::Staged(store.stage(fp))));
-                    }
-                }
+                let plan = if disable_reuse {
+                    ColPlan::Inline(samples)
+                } else {
+                    // The head samples move straight into the fingerprint —
+                    // no per-miss double copy.
+                    ColPlan::Store(stores.shard_mut(c).resolve(Fingerprint::new(samples)))
+                };
+                needs_tail |= !matches!(plan, ColPlan::Store(Resolved::Hit(..)));
+                cols.push(plan);
             }
             slots.push(Slot { point_idx: wave_idx[offset], point, cols, needs_tail });
         }
@@ -372,8 +360,8 @@ fn execute_pass(
                 // Fully reused point: a *warm* hit when every column matched
                 // a snapshot-loaded basis, intra-sweep reuse otherwise.
                 let warm = cols.iter().enumerate().all(|(c, plan)| match plan {
-                    ColPlan::Reuse(id, _) => id.0 < preloaded[c],
-                    ColPlan::Fresh(_) => false,
+                    ColPlan::Store(Resolved::Hit(id, _)) => id.0 < preloaded[c],
+                    _ => false,
                 });
                 if warm {
                     stats.warm_hits += 1;
@@ -387,36 +375,30 @@ fn execute_pass(
             let mut metrics = Vec::with_capacity(n_cols);
             let mut reused_from = Vec::with_capacity(n_cols);
             for (c, plan) in cols.into_iter().enumerate() {
-                match plan {
-                    ColPlan::Reuse(id, map) => {
+                let (mut samples, staged) = match plan {
+                    ColPlan::Store(Resolved::Hit(id, map)) => {
                         // The basis is committed by now even if it was
                         // staged this very wave (commits run in order).
-                        metrics.push(map.apply_metrics(&stores.shard(c).get(id).metrics));
+                        metrics.push(stores.shard(c).mapped(id, map));
                         reused_from.push(Some(id));
+                        continue;
                     }
-                    ColPlan::Fresh(source) => {
-                        let mut tail = std::mem::take(&mut tail_cols[c]);
-                        let om = match source {
-                            FreshSource::Staged(id) => {
-                                let mut samples = Vec::with_capacity(n);
-                                samples.extend_from_slice(
-                                    stores.shard(c).get(id).fingerprint.entries(),
-                                );
-                                samples.append(&mut tail);
-                                let om = OutputMetrics::from_samples(samples);
-                                stores.shard_mut(c).commit_staged(id, om.clone());
-                                om
-                            }
-                            FreshSource::Inline(mut head) => {
-                                head.reserve_exact(tail.len());
-                                head.append(&mut tail);
-                                OutputMetrics::from_samples(head)
-                            }
-                        };
-                        metrics.push(om);
-                        reused_from.push(None);
+                    ColPlan::Store(Resolved::Miss(id)) => {
+                        let mut head = Vec::with_capacity(n);
+                        head.extend_from_slice(stores.shard(c).get(id).fingerprint.entries());
+                        (head, Some(id))
                     }
+                    ColPlan::Inline(head) => (head, None),
+                };
+                let mut tail = std::mem::take(&mut tail_cols[c]);
+                samples.reserve_exact(tail.len());
+                samples.append(&mut tail);
+                let om = OutputMetrics::from_samples(samples);
+                if let Some(id) = staged {
+                    stores.shard_mut(c).commit_staged(id, om.clone());
                 }
+                metrics.push(om);
+                reused_from.push(None);
             }
             points.push(PointResult { point_idx, point, metrics, reused_from, coarse: false });
         }

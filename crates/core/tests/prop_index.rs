@@ -56,7 +56,8 @@ proptest! {
         let samples: Vec<f64> = base.iter().map(|x| x * 1.5).collect();
         store.insert(Fingerprint::new(base.clone()), OutputMetrics::from_samples(samples.clone()));
         let image = AffineMap::new(alpha, beta).apply_fingerprint(&Fingerprint::new(base));
-        let (metrics, _) = store.resolve(&image).expect("hit");
+        let (id, map) = store.find_match(&image).expect("hit");
+        let metrics = store.mapped(id, map);
         let direct = OutputMetrics::from_samples(
             samples.iter().map(|x| alpha * x + beta).collect(),
         );

@@ -3,25 +3,48 @@
 //! ```text
 //! jigsaw-server [--addr HOST:PORT] [--threads N] [--n-samples N]
 //!               [--fingerprint-len M] [--seed N] [--snapshot-dir DIR]
-//!               [--pool scoped|persistent] [--conn-threads N]
-//!               [--sketch-budget S] [--refine-top-k K]
+//!               [--conn-threads N] [--sketch-budget S] [--refine-top-k K]
 //!               [--trace] [--metrics-dump SECS]
 //! ```
 //!
 //! Binds (default `127.0.0.1:0`, i.e. an ephemeral loopback port), prints
-//! one `LISTENING <addr>` line to stdout, and serves until killed. The CI
-//! smoke job scrapes that line, replays a scripted `jigsaw-client` session
-//! against it (under both `--pool` backends), and byte-diffs the
-//! transcript against a golden file.
+//! one `LISTENING <addr>` line to stdout, and serves until killed. Sweeps
+//! run on the builder's default persistent worker pool. An unknown flag is
+//! an error (exit 2). The CI smoke job scrapes the `LISTENING` line,
+//! replays a scripted `jigsaw-client` session against it, and byte-diffs
+//! the transcript against a golden file.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use jigsaw_core::{ScopedPool, WorkerPool};
 use jigsaw_server::JigsawServer;
+
+/// Flags that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--addr",
+    "--threads",
+    "--n-samples",
+    "--fingerprint-len",
+    "--seed",
+    "--snapshot-dir",
+    "--conn-threads",
+    "--sketch-budget",
+    "--refine-top-k",
+    "--metrics-dump",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            flag if VALUE_FLAGS.contains(&flag) => i += 2,
+            "--trace" => i += 1,
+            other => {
+                eprintln!("error: unknown argument `{other}`");
+                std::process::exit(2);
+            }
+        }
+    }
     let value_of = |flag: &str| -> Option<&String> {
         args.iter().position(|a| a == flag).map(|i| {
             args.get(i + 1).unwrap_or_else(|| {
@@ -61,18 +84,6 @@ fn main() {
     } else if parse_num("--refine-top-k").is_some() {
         eprintln!("error: --refine-top-k requires --sketch-budget");
         std::process::exit(2);
-    }
-    // The pool must see the final thread budget, so resolve it after all
-    // config flags (the builder's default pool is sized the same way).
-    match value_of("--pool").map(String::as_str) {
-        None | Some("persistent") => {}
-        Some("scoped") => {
-            builder = builder.pool(Arc::new(ScopedPool) as Arc<dyn WorkerPool>);
-        }
-        Some(other) => {
-            eprintln!("error: --pool must be `scoped` or `persistent`, got `{other}`");
-            std::process::exit(2);
-        }
     }
     builder = builder.config(cfg);
     if let Some(seed) = parse_num("--seed") {
