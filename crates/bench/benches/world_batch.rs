@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jigsaw_bench::experiments::user_catalog;
 use jigsaw_blackbox::{ParamDecl, ParamSpace};
 use jigsaw_pdb::{
-    eval_batch_on, AggFunc, AggSpec, DbmsEngine, DirectEngine, Engine, EvalPath, Expr, Plan,
+    eval_window_on, AggFunc, AggSpec, DbmsEngine, DirectEngine, Engine, EvalPath, Expr, Plan,
     PlanSim,
 };
 use jigsaw_prng::SeedSet;
@@ -51,7 +51,7 @@ fn world_batch(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("world_batch/user_agg_{engine_name}"));
         for path in [EvalPath::Oracle, EvalPath::Columnar] {
             group.bench_function(BenchmarkId::from_parameter(format!("{path:?}")), |b| {
-                b.iter(|| eval_batch_on(&sim, &[26.0], 0, 100, 1, path).unwrap())
+                b.iter(|| eval_window_on(&sim, &[26.0], 0, 100, path).unwrap())
             });
         }
         group.finish();

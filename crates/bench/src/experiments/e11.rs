@@ -4,7 +4,7 @@
 //! The columnar path restructures the universal inner loop — evaluate the
 //! query in worlds `start..start+count` — from per-world `BundleCell`
 //! dispatch into contiguous per-column `f64` slices. This experiment
-//! measures both paths through [`eval_batch_on`] on the same plan-heavy
+//! measures both paths through [`eval_windows`] on the same plan-heavy
 //! workloads (cheap models, so expression and aggregate work dominates —
 //! exactly where layout matters) and verifies the acceptance property:
 //! the outputs are **bit-identical**, world for world.
@@ -13,10 +13,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use jigsaw_blackbox::{FnBlackBox, ParamDecl, ParamSpace};
+use jigsaw_core::{eval_windows, EvalJob, ScopedPool};
 use jigsaw_pdb::{
-    eval_batch_on, AggFunc, AggSpec, BinOp, BlackBoxSim, Catalog, CmpOp, ColumnType, DbmsEngine,
-    DirectEngine, Engine, EvalPath, Expr, Plan, PlanSim, Simulation, TableBuilder, Value,
-    WorldBatch,
+    AggFunc, AggSpec, BinOp, BlackBoxSim, Catalog, CmpOp, ColumnType, DbmsEngine, DirectEngine,
+    Engine, EvalPath, Expr, Plan, PlanSim, Simulation, TableBuilder, Value, WorldBatch,
 };
 use jigsaw_prng::dist::Normal;
 use jigsaw_prng::{SeedSet, Xoshiro256pp};
@@ -31,7 +31,7 @@ use super::MASTER_SEED;
 pub struct E11Row {
     /// Simulation under test.
     pub sim: &'static str,
-    /// Thread budget handed to [`eval_batch_on`].
+    /// Thread budget handed to [`eval_windows`].
     pub threads: usize,
     /// Wall-clock seconds for the per-world oracle path.
     pub oracle_secs: f64,
@@ -121,7 +121,9 @@ fn run_path(sim: &dyn Simulation, n: usize, threads: usize, path: EvalPath) -> V
     (0..sim.space().len())
         .map(|i| {
             let point = sim.space().point_at(i);
-            eval_batch_on(sim, &point, 0, n, threads, path).expect("evaluation succeeds")
+            let job = EvalJob { point: &point, start: 0, count: n };
+            let mut out = eval_windows(sim, &[job], threads, &ScopedPool, path);
+            out.pop().expect("one job").expect("evaluation succeeds")
         })
         .collect()
 }

@@ -160,10 +160,10 @@ impl JigsawConfig {
     }
 
     /// The concrete thread count: `threads`, with `0` resolved to the
-    /// number of available cores (shared sentinel semantics — see
-    /// [`jigsaw_pdb::resolve_thread_budget`]).
+    /// number of available cores (the sentinel every thread budget in this
+    /// crate shares).
     pub fn effective_threads(&self) -> usize {
-        jigsaw_pdb::resolve_thread_budget(self.threads)
+        resolve_thread_budget(self.threads)
     }
 
     /// The concrete wave size: `wave_size`, with `0` resolved to a multiple
@@ -201,6 +201,17 @@ impl JigsawConfig {
             );
             assert!(self.refine_top_k >= 1, "refine_top_k must be >= 1 when sketching is enabled");
         }
+    }
+}
+
+/// Resolve a thread-budget knob: `0` means "all available cores", any other
+/// value is taken literally. Every budgeted entry point (the sweep
+/// executor, [`crate::optimizer::eval_windows`], Markov stepping) resolves
+/// the sentinel through here, so `0` behaves the same everywhere.
+pub(crate) fn resolve_thread_budget(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        t => t,
     }
 }
 

@@ -3,12 +3,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use jigsaw_pdb::{OutputMetrics, PdbError, Result, Simulation};
+use jigsaw_pdb::{eval_path, OutputMetrics, PdbError, Result, Simulation, WorldBatch};
 
 use crate::basis::{BasisId, BasisStore, Resolved, ShardedBasisStore, SharedBasisStore};
 use crate::config::JigsawConfig;
 use crate::fingerprint::Fingerprint;
 use crate::mapping::{AffineFamily, AffineMap};
+use crate::optimizer::{eval_windows, EvalJob, ScopedPool};
 
 /// Which processing task a tick performed (paper §5's three categories).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,9 +34,10 @@ pub struct SessionConfig {
     /// Cap on samples per point (refinement stops there).
     pub n_target: usize,
     /// Thread budget for world evaluation. Ticks go through the same
-    /// budgeted [`jigsaw_pdb::eval_batch`] entry point as the sweep
-    /// executor, so refinement batches parallelize with bit-identical
-    /// results for any value (`0` = all cores).
+    /// budgeted [`eval_windows`] fan-out as the sweep executor, so results
+    /// are bit-identical for any value (`0` = all cores). Windows of at
+    /// most 32 worlds — every tick at the default `batch` and
+    /// `fingerprint_len` — run inline and spend no threads.
     pub threads: usize,
 }
 
@@ -416,6 +418,14 @@ impl InteractiveSession {
         self.focus
     }
 
+    /// Evaluate one world window through the shared [`eval_windows`]
+    /// fan-out under the session's thread budget.
+    fn eval(&self, point: &[f64], start: usize, count: usize) -> Result<WorldBatch> {
+        let job = EvalJob { point, start, count };
+        let mut out = eval_windows(&*self.sim, &[job], self.cfg.threads, &ScopedPool, eval_path());
+        out.pop().expect("one job, one result")
+    }
+
     /// First contact with a point: generate its fingerprint and try to match
     /// a basis; on miss, seed a new basis with the fingerprint samples.
     ///
@@ -430,8 +440,7 @@ impl InteractiveSession {
         let point = self.sim.space().point_at(point_idx);
         // Monte Carlo work happens outside the store lock; only the
         // resolve/commit bookkeeping below holds it.
-        let head =
-            jigsaw_pdb::eval_batch(&*self.sim, &point, 0, m, self.cfg.threads)?.into_columns();
+        let head = self.eval(&point, 0, m)?.into_columns();
         self.worlds_evaluated += m as u64;
         let own = &mut self.own;
         let points = &mut self.points;
@@ -498,7 +507,7 @@ impl InteractiveSession {
         // mutate — a basis that a sweep built with exactly `n_target`
         // samples (the invariant [`SessionConfig::from_jigsaw`] documents).
         let batch = self.cfg.batch.min(self.cfg.n_target - start);
-        let out = jigsaw_pdb::eval_batch(&*self.sim, &point, start, batch, self.cfg.threads)?;
+        let out = self.eval(&point, start, batch)?;
         self.worlds_evaluated += batch as u64;
         let own = &mut self.own;
         let points = &mut self.points;

@@ -44,6 +44,7 @@ pub use interactive::{InteractiveSession, SessionConfig};
 pub use mapping::{AffineFamily, AffineMap, IdentityFamily, MappingFamily, PureScaleFamily};
 pub use markov::{BasisRetention, MarkovJumpConfig, MarkovJumpResult, MarkovJumpRunner};
 pub use optimizer::{
-    OptimizeGoal, PersistentPool, PointResult, ScopedPool, SweepResult, SweepRunner, WorkerPool,
+    eval_windows, EvalJob, OptimizeGoal, PersistentPool, PointResult, ScopedPool, SweepResult,
+    SweepRunner, WorkerPool,
 };
-pub use telemetry::{MarkovStats, PhaseTimings, SweepCounters, SweepStats, WaveReuse};
+pub use telemetry::{MarkovStats, PhaseTimings, SweepStats, WaveReuse};

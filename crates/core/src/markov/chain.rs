@@ -1,10 +1,13 @@
 //! Full-state chain stepping (the naive baseline).
 
+use std::sync::Mutex;
 use std::time::Instant;
 
 use jigsaw_blackbox::MarkovModel;
 use jigsaw_prng::{stream_seed, Seed};
 
+use crate::config::resolve_thread_budget;
+use crate::optimizer::{ScopedPool, WorkerPool};
 use crate::telemetry::MarkovStats;
 
 /// Seed-derivation key separating chain-transition randomness from output
@@ -39,9 +42,9 @@ impl ChainState {
 
     /// [`Self::step_all`] with a thread budget (`0` = all available cores).
     /// Instance `i`'s randomness is the counter-based stream
-    /// `(master, i, step)`, so chunking instances across scoped threads and
-    /// concatenating in chunk order is bit-identical to the sequential walk
-    /// for any budget.
+    /// `(master, i, step)`, so scattering instance chunks through
+    /// [`ScopedPool`] and writing each chunk in place is bit-identical to
+    /// the sequential walk for any budget.
     pub fn step_all_threaded(
         &mut self,
         model: &dyn MarkovModel,
@@ -50,29 +53,22 @@ impl ChainState {
     ) -> Vec<f64> {
         let t = self.step;
         let n = self.chains.len();
-        let threads = jigsaw_pdb::resolve_thread_budget(threads).min(n.max(1));
+        let threads = resolve_thread_budget(threads).min(n.max(1));
+        let chunk = n.div_ceil(threads).max(1);
         let mut outputs = vec![0.0f64; n];
-        let advance = |base: usize, chains: &mut [f64], outs: &mut [f64]| {
-            for (k, chain) in chains.iter_mut().enumerate() {
-                let seed = stream_seed(master, base + k, t);
-                let out = model.output(t, *chain, seed);
-                *chain = model.next_chain(t, *chain, out, seed.derive(K_TRANSITION));
-                outs[k] = out;
+        // One lock per chunk hands each task exclusive access to its slices;
+        // every lock is taken exactly once, so it never contends.
+        let parts: Vec<Mutex<(&mut [f64], &mut [f64])>> =
+            self.chains.chunks_mut(chunk).zip(outputs.chunks_mut(chunk)).map(Mutex::new).collect();
+        ScopedPool.scatter(threads, parts.len(), &|ci| {
+            let mut part = parts[ci].lock().expect("chunk lock poisoned");
+            let (chains, outs) = &mut *part;
+            for (k, (chain, out)) in chains.iter_mut().zip(outs.iter_mut()).enumerate() {
+                let seed = stream_seed(master, ci * chunk + k, t);
+                *out = model.output(t, *chain, seed);
+                *chain = model.next_chain(t, *chain, *out, seed.derive(K_TRANSITION));
             }
-        };
-        if threads <= 1 {
-            advance(0, &mut self.chains, &mut outputs);
-        } else {
-            let chunk = n.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (ci, (chains, outs)) in
-                    self.chains.chunks_mut(chunk).zip(outputs.chunks_mut(chunk)).enumerate()
-                {
-                    let advance = &advance;
-                    scope.spawn(move || advance(ci * chunk, chains, outs));
-                }
-            });
-        }
+        });
         self.step += 1;
         outputs
     }

@@ -31,6 +31,17 @@
 //! telemetry counters are **bit-identical for any thread count and any wave
 //! size**. Threads and waves are pure performance knobs.
 //!
+//! ## Where threads are spent
+//!
+//! [`eval_windows`] is the only budgeted world-evaluation fan-out in the
+//! workspace: sweeps (phases 1 and 3), interactive sessions, and the E11
+//! path comparison all call it. It splits world windows into chunks,
+//! scatters them through a [`WorkerPool`], and stitches them back in
+//! window order. Batches of at most 32 worlds run inline on the caller, so
+//! small session ticks never wake a thread. Threads themselves are created
+//! only by [`ScopedPool`] (per scatter) and
+//! [`PersistentPool`](super::PersistentPool) (once, at construction).
+//!
 //! ## Warm starts
 //!
 //! With [`JigsawConfig::basis_load`] set, the sweep begins from a
@@ -59,10 +70,12 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use jigsaw_obs::span;
-use jigsaw_pdb::{OutputMetrics, Result, Simulation, WorldBatch};
+use jigsaw_pdb::{
+    eval_path, eval_window_on, EvalPath, OutputMetrics, Result, Simulation, WorldBatch,
+};
 
 use crate::basis::{Resolved, ShardedBasisStore};
-use crate::config::JigsawConfig;
+use crate::config::{resolve_thread_budget, JigsawConfig};
 use crate::fingerprint::Fingerprint;
 use crate::mapping::MappingFamily;
 use crate::optimizer::selector::sketch_frontier;
@@ -81,6 +94,9 @@ use crate::telemetry::{SweepStats, WaveReuse};
 /// output. The default [`ScopedPool`] spawns scoped threads per phase; a
 /// long-lived server can substitute a persistent pool that keeps workers
 /// alive across waves without touching the executor.
+///
+/// If a task panics, the pool must still wait for every task it started,
+/// then re-raise the panic on the caller and stay usable afterwards.
 pub trait WorkerPool: Send + Sync {
     /// Run `run(t)` for every `t in 0..n_tasks`, using at most `threads`
     /// concurrent workers. Must not return before every task has run.
@@ -167,11 +183,16 @@ struct Slot {
     needs_tail: bool,
 }
 
-/// A world-evaluation job: `count` worlds from `start` at `point`.
-struct EvalJob<'a> {
-    point: &'a [f64],
-    start: usize,
-    count: usize,
+/// A world-evaluation job for [`eval_windows`]: `count` worlds from
+/// `start` at `point`.
+#[derive(Debug, Clone, Copy)]
+pub struct EvalJob<'a> {
+    /// The parameter point.
+    pub point: &'a [f64],
+    /// First world of the window.
+    pub start: usize,
+    /// Worlds in the window.
+    pub count: usize,
 }
 
 /// One job's evaluated worlds as a columnar [`WorldBatch`]. Worker panics
@@ -279,7 +300,7 @@ fn execute_pass(
             .iter()
             .map(|&offset| EvalJob { point: &wave_points[offset], start: 0, count: m })
             .collect();
-        let evaluated = run_jobs(sim, &fp_jobs, threads, pool);
+        let evaluated = eval_windows(sim, &fp_jobs, threads, pool, eval_path());
         drop(fp_jobs);
         stats.worlds_evaluated += (fresh.len() * m) as u64;
         for (&offset, head) in fresh.iter().zip(evaluated) {
@@ -333,7 +354,7 @@ fn execute_pass(
             .iter()
             .map(|&i| EvalJob { point: &slots[i].point, start: m, count: tail_count })
             .collect();
-        let tails = run_jobs(sim, &tail_jobs, threads, pool);
+        let tails = eval_windows(sim, &tail_jobs, threads, pool, eval_path());
         drop(tail_jobs);
         let mut tails_by_slot: Vec<Option<JobOutput>> = Vec::with_capacity(wave_len);
         tails_by_slot.resize_with(wave_len, || None);
@@ -526,32 +547,29 @@ pub(crate) fn execute_sketch_refine(
     Ok(SweepResult { points, stats })
 }
 
-/// Evaluate a batch of world-window jobs with up to `threads` workers,
-/// returning each job's columnar [`WorldBatch`] in job order.
+/// Evaluate a batch of world-window jobs with up to `threads` workers
+/// (`0` = all available cores) on `path`, returning each job's columnar
+/// [`WorldBatch`] in job order.
 ///
 /// Jobs are split into world chunks handed to the [`WorkerPool`], so the
 /// schedule is load-balanced; results stitch back in `(job, window)` order,
-/// making the output independent of which worker ran what. Each chunk is
-/// evaluated through [`jigsaw_pdb::eval_window`], which follows the
-/// process-wide [`jigsaw_pdb::EvalPath`] (columnar by default, per-world
-/// oracle under `JIGSAW_EVAL_PATH=oracle`) and converts worker panics into
-/// typed errors inside the task, so nothing unwinds through the pool.
-fn run_jobs(
+/// making the output independent of which worker ran what — bit-identical
+/// to sequential evaluation for every budget and every faithful pool.
+/// Each chunk goes through [`jigsaw_pdb::eval_window_on`], which converts
+/// simulation panics into [`jigsaw_pdb::PdbError::WorkerPanic`] inside the
+/// task, so nothing unwinds through the pool.
+pub fn eval_windows(
     sim: &dyn Simulation,
     jobs: &[EvalJob<'_>],
     threads: usize,
     pool: &dyn WorkerPool,
-) -> Vec<JobOutput> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
+    path: EvalPath,
+) -> Vec<Result<WorldBatch>> {
+    let threads = resolve_thread_budget(threads);
     // Tiny batches are not worth a dispatch round; the cutoff is a pure
     // performance heuristic (results are identical either way).
     if threads <= 1 || jobs.iter().map(|j| j.count).sum::<usize>() <= 32 {
-        return jobs
-            .iter()
-            .map(|j| jigsaw_pdb::eval_window(sim, j.point, j.start, j.count))
-            .collect();
+        return jobs.iter().map(|j| eval_window_on(sim, j.point, j.start, j.count, path)).collect();
     }
 
     struct Task {
@@ -583,7 +601,7 @@ fn run_jobs(
     pool.scatter(threads, tasks.len(), &|t| {
         let task = &tasks[t];
         let j = &jobs[task.job];
-        let r = jigsaw_pdb::eval_window(sim, j.point, task.lo, task.hi - task.lo);
+        let r = eval_window_on(sim, j.point, task.lo, task.hi - task.lo, path);
         slots[t].set(r).expect("pool ran a task twice");
     });
 
@@ -986,5 +1004,156 @@ mod tests {
         assert!(s.points.is_empty());
         assert_eq!(s.stats.refined_points, 0);
         assert_eq!(s.stats.pruned_points, 0);
+    }
+
+    // --- eval_windows: the one budgeted world-evaluation fan-out. Every
+    // case runs on the scoped, persistent and reverse-order pools, and the
+    // windows exceed the 32-world inline cutoff so the pool really scatters.
+
+    fn pools() -> Vec<(&'static str, Box<dyn WorkerPool>)> {
+        vec![
+            ("scoped", Box::new(ScopedPool)),
+            ("persistent", Box::new(crate::optimizer::PersistentPool::new(16))),
+            ("reverse", Box::new(ReversePool)),
+        ]
+    }
+
+    /// One window through [`eval_windows`].
+    fn eval_one(
+        sim: &dyn Simulation,
+        point: &[f64],
+        start: usize,
+        count: usize,
+        threads: usize,
+        pool: &dyn WorkerPool,
+        path: EvalPath,
+    ) -> JobOutput {
+        let job = EvalJob { point, start, count };
+        eval_windows(sim, &[job], threads, pool, path).pop().expect("one job, one result")
+    }
+
+    fn step_sim() -> BlackBoxSim {
+        BlackBoxSim::new(
+            Arc::new(FnBlackBox::new("F", 1, |p: &[f64], s| p[0] + (s.0 as f64 / u64::MAX as f64))),
+            ParamSpace::new(vec![ParamDecl::range("x", 0, 3, 1)]),
+            SeedSet::new(21),
+        )
+    }
+
+    fn one_row_plan_sim() -> PlanSim {
+        let mut cat = Catalog::new();
+        cat.add_function(Arc::new(FnBlackBox::new("F", 1, |p: &[f64], s| {
+            p[0] * 3.0 + (s.0 % 101) as f64
+        })));
+        let cat = Arc::new(cat);
+        let plan = Plan::OneRow
+            .project(vec![("out", Expr::call("F", vec![Expr::param("w")]))])
+            .bind(&cat, &["w".to_string()])
+            .unwrap();
+        let space = ParamSpace::new(vec![ParamDecl::range("w", 0, 9, 1)]);
+        PlanSim::new(Arc::new(DirectEngine::new()), plan, cat, space, SeedSet::new(4))
+    }
+
+    #[test]
+    fn parallel_equals_sequential() {
+        let s = step_sim();
+        let seq = s.eval_worlds(&[1.0], 0, 103).unwrap();
+        for (name, pool) in pools() {
+            for threads in [2, 3, 8] {
+                let par = eval_one(&s, &[1.0], 0, 103, threads, &*pool, EvalPath::Oracle);
+                assert_eq!(seq, par.unwrap().into_columns(), "{name} threads={threads}");
+            }
+            // Several jobs in one call stitch back per job, in job order.
+            let jobs = [
+                EvalJob { point: &[1.0], start: 0, count: 103 },
+                EvalJob { point: &[2.0], start: 7, count: 0 },
+                EvalJob { point: &[3.0], start: 40, count: 45 },
+            ];
+            for (job, out) in jobs.iter().zip(eval_windows(&s, &jobs, 4, &*pool, EvalPath::Oracle))
+            {
+                let want = s.eval_worlds(job.point, job.start, job.count).unwrap();
+                assert_eq!(out.unwrap().into_columns(), want, "{name} multi-job");
+            }
+        }
+    }
+
+    #[test]
+    fn plan_sim_parallel_equals_sequential() {
+        // The DBMS path splits into per-window engine executions; world
+        // seeds are addressed absolutely, so the split is invisible.
+        let s = one_row_plan_sim();
+        let seq = s.eval_worlds(&[2.0], 0, 37).unwrap();
+        for (name, pool) in pools() {
+            for threads in [2, 5, 16] {
+                let par = eval_one(&s, &[2.0], 0, 37, threads, &*pool, EvalPath::Oracle);
+                assert_eq!(seq, par.unwrap().into_columns(), "{name} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_paths_agree_for_every_budget() {
+        for s in [&step_sim() as &dyn Simulation, &one_row_plan_sim() as &dyn Simulation] {
+            let oracle = s.eval_worlds(&[1.0], 3, 41).unwrap();
+            for (name, pool) in pools() {
+                for threads in [1, 2, 7] {
+                    for path in [EvalPath::Columnar, EvalPath::Oracle] {
+                        let batch = eval_one(s, &[1.0], 3, 41, threads, &*pool, path).unwrap();
+                        assert_eq!(batch.n_worlds(), 41);
+                        assert_eq!(
+                            batch.columns(),
+                            &oracle[..],
+                            "{name} threads={threads} {path:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn count_below_thread_budget() {
+        // count < threads: one-world chunks, and the stitched output still
+        // equals the serial path.
+        let s = step_sim();
+        let seq = s.eval_worlds(&[0.0], 5, 40).unwrap();
+        for (name, pool) in pools() {
+            let out = eval_one(&s, &[0.0], 5, 40, 64, &*pool, EvalPath::Oracle).unwrap();
+            assert_eq!(out.into_columns(), seq, "{name}");
+        }
+    }
+
+    #[test]
+    fn zero_thread_budget_means_sequential() {
+        let s = step_sim();
+        let seq = s.eval_worlds(&[3.0], 0, 50).unwrap();
+        for (name, pool) in pools() {
+            let out = eval_one(&s, &[3.0], 0, 50, 0, &*pool, EvalPath::Oracle).unwrap();
+            assert_eq!(out.into_columns(), seq, "{name}");
+        }
+    }
+
+    #[test]
+    fn worker_panic_becomes_typed_error() {
+        // A panicking simulation must surface as PdbError::WorkerPanic on
+        // the inline path and on every pool — never abort the process.
+        let s = BlackBoxSim::new(
+            Arc::new(FnBlackBox::new("Boom", 1, |_: &[f64], _| -> f64 {
+                panic!("deliberate test panic")
+            })),
+            ParamSpace::new(vec![ParamDecl::range("x", 0, 3, 1)]),
+            SeedSet::new(21),
+        );
+        for (name, pool) in pools() {
+            for threads in [1, 4] {
+                for path in [EvalPath::Columnar, EvalPath::Oracle] {
+                    let err = eval_one(&s, &[0.0], 0, 40, threads, &*pool, path).unwrap_err();
+                    assert!(
+                        matches!(&err, jigsaw_pdb::PdbError::WorkerPanic(m) if m.contains("deliberate test panic")),
+                        "{name} threads={threads} {path:?}: {err}"
+                    );
+                }
+            }
+        }
     }
 }

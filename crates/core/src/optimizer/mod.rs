@@ -25,7 +25,7 @@ use crate::config::JigsawConfig;
 use crate::mapping::{AffineFamily, MappingFamily};
 use crate::telemetry::SweepStats;
 
-pub use executor::{ScopedPool, WorkerPool};
+pub use executor::{eval_windows, EvalJob, ScopedPool, WorkerPool};
 pub use pool::PersistentPool;
 pub use selector::{
     sketch_frontier, Comparison, Constraint, Direction, Objective, OptimizeGoal, OuterAgg,

@@ -19,9 +19,24 @@
 //! different scenarios — queue rather than oversubscribe the budget.
 //! Nested scatters from inside a task would deadlock on that gate; the
 //! executor never does this.
+//!
+//! A panicking task does not wedge the pool. Each task runs under
+//! `catch_unwind` and counts as finished either way; the scatter waits for
+//! every task, retires the job, releases the gate, and only then re-raises
+//! the first panic on the caller. The pool keeps serving afterwards, like
+//! [`ScopedPool`](super::executor::ScopedPool), which re-raises after
+//! joining its threads. (Evaluation tasks never panic in practice:
+//! [`jigsaw_pdb::eval_window_on`] already turns simulation panics into
+//! typed errors.)
+//!
+//! This module holds the workspace's only `unsafe`: see [`TaskFn`].
+//! `crates/core/tests/pool_stress.rs` drives it through thousands of mixed
+//! scatters, panicking ones included, under a hang watchdog.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use super::executor::WorkerPool;
@@ -33,11 +48,12 @@ use super::executor::WorkerPool;
 ///
 /// The pointee is only ever dereferenced for a task index claimed from the
 /// job's cursor while the index is `< n_tasks`. Every such index is claimed
-/// exactly once, and `scatter` does not return until the completion counter
-/// says all `n_tasks` claimed tasks have *finished* — so every dereference
-/// happens-before `scatter` returns, i.e. strictly inside the closure's
-/// real lifetime. Workers that wake late observe an exhausted cursor and
-/// never touch the pointer.
+/// exactly once, and `scatter` neither returns nor unwinds until the
+/// completion counter says all `n_tasks` claimed tasks have *finished* (a
+/// panicking task is caught and counted too) — so every dereference
+/// happens-before `scatter` exits, i.e. strictly inside the closure's real
+/// lifetime. Workers that wake late observe an exhausted cursor and never
+/// touch the pointer.
 #[derive(Clone, Copy)]
 struct TaskFn(*const (dyn Fn(usize) + Sync));
 
@@ -52,8 +68,10 @@ struct Job {
     run: TaskFn,
     /// Next task index to claim (claims past `n_tasks` are no-ops).
     cursor: Arc<AtomicUsize>,
-    /// Tasks that have *finished* running.
+    /// Tasks that have *finished* running, panicked ones included.
     finished: Arc<AtomicUsize>,
+    /// The first panic payload any task raised, re-raised by the caller.
+    panic: Arc<Mutex<Option<Box<dyn Any + Send>>>>,
     n_tasks: usize,
     /// Seats taken by pool workers; beyond `seat_limit` a worker re-parks
     /// without touching the job (enforces the scatter's thread budget).
@@ -209,14 +227,18 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Claim and run tasks off the job's cursor until it is exhausted,
-/// signalling the completion condvar when the last task finishes.
+/// signalling the completion condvar when the last task finishes. A
+/// panicking task is caught, its payload kept if it is the job's first,
+/// and counted as finished like any other.
 fn drain(job: &Job, run: &(dyn Fn(usize) + Sync), shared: &Shared) {
     loop {
         let t = job.cursor.fetch_add(1, Ordering::Relaxed);
         if t >= job.n_tasks {
             return;
         }
-        run(t);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| run(t))) {
+            job.panic.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(payload);
+        }
         if job.finished.fetch_add(1, Ordering::AcqRel) + 1 == job.n_tasks {
             // Touch the lock before notifying so the wakeup cannot slip
             // between the caller's counter check and its wait.
@@ -236,7 +258,7 @@ impl WorkerPool for PersistentPool {
             }
             return;
         }
-        let _gate = self.gate.lock().expect("pool gate poisoned");
+        let gate = self.gate.lock().expect("pool gate poisoned");
         let obs = pool_obs();
         obs.scatters.inc();
         obs.tasks.record(n_tasks as u64);
@@ -249,6 +271,7 @@ impl WorkerPool for PersistentPool {
             run: TaskFn(run_erased as *const _),
             cursor: Arc::new(AtomicUsize::new(0)),
             finished: Arc::new(AtomicUsize::new(0)),
+            panic: Arc::new(Mutex::new(None)),
             n_tasks,
             seats: Arc::new(AtomicUsize::new(0)),
             // The caller takes one seat itself.
@@ -269,6 +292,13 @@ impl WorkerPool for PersistentPool {
         // Retire the job before `run`'s borrow ends: after this, no worker
         // can clone (and thus ever dereference) the erased pointer.
         st.job = None;
+        drop(st);
+        // Release the gate before re-raising, so a panic never poisons it.
+        drop(gate);
+        let payload = job.panic.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(payload) = payload {
+            resume_unwind(payload);
+        }
     }
 }
 

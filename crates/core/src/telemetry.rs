@@ -31,35 +31,6 @@ pub struct WaveReuse {
     pub full_simulations: usize,
 }
 
-/// The deterministic subset of [`SweepStats`]: every field here must be
-/// bit-identical for any thread budget *and* any wave size (wall-clock
-/// fields, the recorded thread count, and wave partitioning are excluded).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepCounters {
-    /// Points visited.
-    pub points: usize,
-    /// Points answered by full Monte Carlo simulation.
-    pub full_simulations: usize,
-    /// Points answered by intra-sweep basis reuse through a mapping.
-    pub reused: usize,
-    /// Points answered by snapshot-loaded (warm-start) bases.
-    pub warm_hits: usize,
-    /// Simulation worlds evaluated.
-    pub worlds_evaluated: u64,
-    /// Basis distributions per output column.
-    pub bases_per_column: Vec<usize>,
-    /// Mapping validations attempted.
-    pub pairings_tested: u64,
-    /// Points coarse-swept by the sketch pass (0 = sketching off).
-    pub sketch_points: usize,
-    /// Worlds spent by the sketch pass.
-    pub sketch_worlds: u64,
-    /// Frontier points re-run at full budget by the refine pass.
-    pub refined_points: usize,
-    /// Points whose final metrics are the coarse sketch estimates.
-    pub pruned_points: usize,
-}
-
 /// Counters collected during a parameter-space sweep.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepStats {
@@ -107,23 +78,22 @@ pub struct SweepStats {
 }
 
 impl SweepStats {
-    /// Snapshot the fields that must be identical across thread budgets and
-    /// wave sizes (the property tests and the CI twin-run diff assert this).
-    pub fn counters(&self) -> SweepCounters {
-        SweepCounters {
-            points: self.points,
-            full_simulations: self.full_simulations,
-            reused: self.reused,
-            warm_hits: self.warm_hits,
-            worlds_evaluated: self.worlds_evaluated,
-            bases_per_column: self.bases_per_column.clone(),
-            pairings_tested: self.pairings_tested,
-            sketch_points: self.sketch_points,
-            sketch_worlds: self.sketch_worlds,
-            refined_points: self.refined_points,
-            pruned_points: self.pruned_points,
+    /// The determinism snapshot: a copy with only the schedule-dependent
+    /// fields reset — `threads`, `waves`, `wave_reuse`, `phase` and
+    /// `elapsed`. Every other field must be identical across thread budgets
+    /// and wave sizes (the property tests and the CI twin-run diff assert
+    /// this), so a field added later joins the comparison by default.
+    pub fn counters(&self) -> SweepStats {
+        SweepStats {
+            threads: 0,
+            waves: 0,
+            wave_reuse: Vec::new(),
+            phase: PhaseTimings::default(),
+            elapsed: Duration::ZERO,
+            ..self.clone()
         }
     }
+
     /// Fraction of points served by reuse (intra-sweep or warm-start).
     pub fn reuse_rate(&self) -> f64 {
         if self.points == 0 {
@@ -267,6 +237,7 @@ mod tests {
         a.elapsed = Duration::from_secs(9);
         b.threads = 8;
         b.waves = 4;
+        b.wave_reuse = vec![WaveReuse { points: 2, ..Default::default() }; 4];
         b.phase.completion = Duration::from_millis(3);
         // …must not affect the deterministic snapshot.
         assert_eq!(a.counters(), b.counters());

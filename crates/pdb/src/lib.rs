@@ -17,9 +17,10 @@
 //! * the [`sim::Simulation`] abstraction — "the entire Monte Carlo
 //!   simulation treated as the stochastic function F" — which is the unit
 //!   Jigsaw's fingerprinting operates on;
-//! * parallel world evaluation ([`worlds`]) producing columnar
-//!   [`batch::WorldBatch`]es, with a per-world oracle path kept
-//!   bit-identical for verification.
+//! * sequential, panic-catching world-window evaluation ([`worlds`])
+//!   producing columnar [`batch::WorldBatch`]es, with a per-world oracle
+//!   path kept bit-identical for verification. This crate spends no
+//!   threads; `jigsaw-core` schedules windows on its worker pools.
 
 #![warn(missing_docs)]
 
@@ -49,7 +50,4 @@ pub use schema::{Column, ColumnType, Schema};
 pub use sim::{BlackBoxSim, PlanSim, Simulation};
 pub use table::{Table, TableBuilder};
 pub use value::Value;
-pub use worlds::{
-    eval_batch, eval_batch_on, eval_path, eval_window, eval_window_on, eval_worlds,
-    force_eval_path, resolve_thread_budget, EvalPath,
-};
+pub use worlds::{eval_path, eval_window, eval_window_on, force_eval_path, EvalPath};

@@ -27,9 +27,8 @@ use crate::plan::BoundPlan;
 /// A parameterized Monte Carlo simulation with named scalar outputs.
 ///
 /// Implementations provide the *sequential* window evaluation only; callers
-/// that hold a thread budget go through [`crate::worlds::eval_batch`] (or
-/// the per-world [`crate::worlds::eval_worlds`] oracle), which splits the
-/// window across scoped threads and stitches the results back
+/// that hold a thread budget go through `jigsaw-core`'s `eval_windows`,
+/// which splits windows across a worker pool and stitches the results back
 /// bit-identically (worlds are seed-addressed, so sub-windows compose).
 pub trait Simulation: Send + Sync {
     /// Names of the output columns.

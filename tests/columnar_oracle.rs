@@ -6,8 +6,8 @@
 //! same order as the per-world oracle loops. These tests pin that claim
 //! over every axis that could break it: simulation shape (black box vs
 //! both plan engines, det/stoch columns, stochastic filters, every
-//! aggregate), thread budget, window offset, and explicit evaluation
-//! path. Equality is always on `f64::to_bits` — `Vec<f64>` `==` would
+//! aggregate), thread budget, worker pool, window offset, and explicit
+//! evaluation path. Equality is always on `f64::to_bits` — `Vec<f64>` `==` would
 //! falsely reject worlds where a stochastic filter drops every row (the
 //! Min/Max/Avg of an empty world is NaN, identically, on both paths).
 
@@ -15,12 +15,15 @@ use std::sync::Arc;
 
 use jigsaw::blackbox::{FnBlackBox, ParamDecl, ParamSpace};
 use jigsaw::pdb::{
-    eval_batch_on, AggFunc, AggSpec, BinOp, BlackBoxSim, Catalog, CmpOp, ColumnType, DbmsEngine,
+    eval_window_on, AggFunc, AggSpec, BinOp, BlackBoxSim, Catalog, CmpOp, ColumnType, DbmsEngine,
     DirectEngine, Engine, EvalPath, Expr, Plan, PlanSim, Simulation, TableBuilder, Value,
 };
 use jigsaw::prng::dist::Normal;
 use jigsaw::prng::{SeedSet, Xoshiro256pp};
 use proptest::prelude::*;
+
+mod common;
+use common::{eval_one, pools};
 
 /// Thread budgets every comparison runs under (1 = sequential reference;
 /// 16 exceeds the window size in many cases, exercising the clamp).
@@ -106,28 +109,27 @@ fn bits(columns: &[Vec<f64>]) -> Vec<Vec<u64>> {
     columns.iter().map(|col| col.iter().map(|x| x.to_bits()).collect()).collect()
 }
 
-/// Both explicit paths at every budget must reproduce the sequential
-/// per-world oracle bit-for-bit — and windows must compose: `[start, mid)`
-/// stitched with `[mid, start+count)` equals `[start, start+count)`.
+/// Both explicit paths at every budget on every pool must reproduce the
+/// sequential per-world oracle bit-for-bit — and windows must compose:
+/// `[start, mid)` stitched with `[mid, start+count)` equals
+/// `[start, start+count)`.
 fn assert_paths_agree(sim: &dyn Simulation, point: &[f64], start: usize, count: usize) {
     let oracle = bits(&sim.eval_worlds(point, start, count).expect("oracle evaluates"));
-    for &threads in &BUDGETS {
-        for path in [EvalPath::Columnar, EvalPath::Oracle] {
-            let batch = eval_batch_on(sim, point, start, count, threads, path)
-                .unwrap_or_else(|e| panic!("threads={threads} {path:?}: {e}"));
-            assert_eq!(batch.n_worlds(), count, "threads={threads} {path:?}");
-            assert_eq!(
-                bits(batch.columns()),
-                oracle,
-                "threads={threads} {path:?} start={start} count={count}"
-            );
+    for (name, pool) in pools() {
+        for &threads in &BUDGETS {
+            for path in [EvalPath::Columnar, EvalPath::Oracle] {
+                let what = format!("{name} threads={threads} {path:?} start={start} count={count}");
+                let batch = eval_one(sim, point, start, count, threads, pool, path)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(batch.n_worlds(), count, "{what}");
+                assert_eq!(bits(batch.columns()), oracle, "{what}");
+            }
         }
     }
     let mid = count / 2;
-    let mut stitched = eval_batch_on(sim, point, start, mid, 1, EvalPath::Columnar).unwrap();
-    stitched.extend(
-        eval_batch_on(sim, point, start + mid, count - mid, 1, EvalPath::Columnar).unwrap(),
-    );
+    let mut stitched = eval_window_on(sim, point, start, mid, EvalPath::Columnar).unwrap();
+    stitched
+        .extend(eval_window_on(sim, point, start + mid, count - mid, EvalPath::Columnar).unwrap());
     assert_eq!(bits(stitched.columns()), oracle, "window composition start={start} count={count}");
 }
 
@@ -150,7 +152,7 @@ proptest! {
         master in 0u64..200,
         x in 0i64..4,
         start in 0usize..20,
-        count in 0usize..33,
+        count in 0usize..80,
     ) {
         let direct = plan_sim(Arc::new(DirectEngine::new()), master);
         let dbms = plan_sim(Arc::new(DbmsEngine::new()), master);

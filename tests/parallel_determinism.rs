@@ -1,20 +1,20 @@
 //! Determinism under parallelism: the batch-synchronous executor must give
 //! bit-identical sweeps — points, metrics, `reused_from`, basis sets, and
-//! deterministic telemetry counters — for every thread budget, and the
-//! unified world-evaluation entry point must equal the serial path for
-//! awkward window splits.
+//! deterministic telemetry counters — for every thread budget, and the one
+//! world-evaluation fan-out (`eval_windows`) must equal the serial path for
+//! awkward window splits on every pool.
 
 use std::sync::Arc;
 
 use jigsaw::blackbox::models::{Demand, SynthBasis};
 use jigsaw::blackbox::{ParamDecl, ParamSpace};
 use jigsaw::core::{JigsawConfig, SweepRunner};
-use jigsaw::pdb::{eval_worlds, BlackBoxSim, Simulation};
+use jigsaw::pdb::{BlackBoxSim, EvalPath, Simulation};
 use jigsaw::prng::SeedSet;
 use proptest::prelude::*;
 
 mod common;
-use common::assert_bit_identical;
+use common::{assert_bit_identical, eval_one, pools};
 
 const THREAD_LADDER: [usize; 3] = [1, 2, 8];
 
@@ -65,15 +65,17 @@ proptest! {
     fn world_windows_equal_serial_for_awkward_splits(
         master in 0u64..500,
         start in 0usize..50,
-        count in 0usize..40,
+        count in 0usize..100,
         threads in 1usize..16,
     ) {
         let space = ParamSpace::new(vec![ParamDecl::range("week", 0, 9, 1)]);
         let sim = BlackBoxSim::new(Arc::new(Demand::paper()), space, SeedSet::new(master));
         let point = [3.0, 5.0];
         let serial = sim.eval_worlds(&point, start, count).unwrap();
-        let par = eval_worlds(&sim, &point, start, count, threads).unwrap();
-        prop_assert_eq!(serial, par);
+        for (name, pool) in pools() {
+            let par = eval_one(&sim, &point, start, count, threads, pool, EvalPath::Oracle).unwrap();
+            prop_assert_eq!(&serial, &par.into_columns(), "{}", name);
+        }
     }
 }
 
@@ -82,12 +84,20 @@ fn window_edge_cases_match_serial() {
     let space = ParamSpace::new(vec![ParamDecl::range("week", 0, 9, 1)]);
     let sim = BlackBoxSim::new(Arc::new(Demand::paper()), space, SeedSet::new(7));
     let point = [2.0, 5.0];
-    // count == 0: empty columns, no worker spawned.
-    let empty = eval_worlds(&sim, &point, 4, 0, 8).unwrap();
-    assert!(empty[0].is_empty());
-    // count < threads: budget clamps to one world per thread.
-    let serial = sim.eval_worlds(&point, 0, 3).unwrap();
-    assert_eq!(eval_worlds(&sim, &point, 0, 3, 64).unwrap(), serial);
+    for (name, pool) in pools() {
+        let eval = |start, count, threads| {
+            eval_one(&sim, &point, start, count, threads, pool, EvalPath::Oracle)
+                .unwrap()
+                .into_columns()
+        };
+        // count == 0: empty columns, no worker spawned.
+        assert!(eval(4, 0, 8)[0].is_empty(), "{name}");
+        // count < threads: one world per chunk, inline below the 32-world
+        // cutoff and scattered above it.
+        for count in [3, 33] {
+            assert_eq!(eval(0, count, 64), sim.eval_worlds(&point, 0, count).unwrap(), "{name}");
+        }
+    }
 }
 
 #[test]
