@@ -22,7 +22,11 @@
 //!   enumeration order at the wave barrier; a session commits its
 //!   fingerprint head immediately.
 //! * [`BasisStore::mapped`] is `M_est`: the matched basis's metrics pushed
-//!   through the mapping. It is the only place mapped metrics are built.
+//!   through the mapping. It is the only place mapped metrics are built,
+//!   and it copies no samples: the result is a lazy view sharing the
+//!   basis's sample buffer ([`OutputMetrics::affine_image`]). Refining the
+//!   basis later copies on write, so a view keeps the samples it was
+//!   built with.
 //!
 //! Because candidates are proposed in deterministic (insertion) order and
 //! resolves run in enumeration order, a wave replay is bit-identical to
@@ -207,10 +211,10 @@ impl BasisStore {
         }
     }
 
-    /// `M_est`: basis `id`'s metrics mapped through `map`. The basis must be
-    /// committed.
+    /// `M_est`: basis `id`'s metrics mapped through `map`, as a view over
+    /// the basis's shared samples. The basis must be committed.
     pub fn mapped(&self, id: BasisId, map: AffineMap) -> OutputMetrics {
-        map.apply_metrics(&self.get(id).metrics)
+        self.get(id).metrics.affine_image(map.alpha, map.beta)
     }
 
     /// Fold additional samples into a basis (interactive refinement).
@@ -489,5 +493,25 @@ mod tests {
         shards.shard_mut(1).commit_staged(staged, metrics(&[1.0]));
         assert_eq!(shards.staged_total(), 0);
         assert!(shards.pairings_total() <= 2);
+    }
+
+    #[test]
+    fn mapped_cell_keeps_its_samples_while_the_basis_is_refined() {
+        let mut s = store(IndexStrategy::Normalization);
+        let committed = metrics(&[1.0, 2.0, 3.0, 1.5]);
+        let id = s.insert(fp(&[1.0, 2.0, 3.0, 1.5]), committed.clone());
+        let cell = s.mapped(id, AffineMap::new(2.0, 1.0));
+        let moments = *cell.moments();
+        assert_eq!(*cell.samples(), [3.0, 5.0, 7.0, 4.0]);
+
+        s.refine(id, &[10.0, -4.0]);
+        assert_eq!(s.get(id).metrics.n(), 6, "the basis grew");
+        assert_eq!(*s.get(id).metrics.samples(), [1.0, 2.0, 3.0, 1.5, 10.0, -4.0]);
+        assert_eq!(cell.n(), 4);
+        assert_eq!(*cell.samples(), [3.0, 5.0, 7.0, 4.0]);
+        assert_eq!(*cell.moments(), moments);
+        // The miss's own cell shares the committed buffer and is pinned too.
+        assert_eq!(committed.n(), 4);
+        assert_eq!(*committed.samples(), [1.0, 2.0, 3.0, 1.5]);
     }
 }

@@ -285,7 +285,7 @@ fn encode_shard(store: &BasisStore) -> Vec<u8> {
         }
         let samples = basis.metrics.samples();
         put_u32(&mut out, samples.len() as u32);
-        for &x in samples {
+        for &x in samples.iter() {
             put_f64_bits(&mut out, x);
         }
     }

@@ -16,8 +16,6 @@
 //! provide the algebra that symbolic post-processing (paper §6.2's proposed
 //! extension) builds on.
 
-use jigsaw_pdb::OutputMetrics;
-
 use crate::fingerprint::{affine_fits, approx_eq, Fingerprint};
 
 /// An affine mapping `M(x) = alpha · x + beta`.
@@ -48,11 +46,6 @@ impl AffineMap {
     /// Apply entry-wise to a fingerprint.
     pub fn apply_fingerprint(&self, fp: &Fingerprint) -> Fingerprint {
         Fingerprint::new(fp.entries().iter().map(|&x| self.apply(x)).collect())
-    }
-
-    /// `M_est`: carry output metrics across the mapping in closed form.
-    pub fn apply_metrics(&self, m: &OutputMetrics) -> OutputMetrics {
-        m.affine_image(self.alpha, self.beta)
     }
 
     /// The inverse mapping, when `alpha != 0`.
@@ -195,6 +188,8 @@ impl MappingFamily for IdentityFamily {
 
 #[cfg(test)]
 mod tests {
+    use jigsaw_pdb::OutputMetrics;
+
     use super::*;
 
     fn fp(v: &[f64]) -> Fingerprint {
@@ -334,7 +329,7 @@ mod tests {
         let samples = vec![1.0, 4.0, 2.0, 8.0, 5.0];
         let m0 = OutputMetrics::from_samples(samples.clone());
         let map = AffineMap::new(-1.5, 4.0);
-        let via_map = map.apply_metrics(&m0);
+        let via_map = m0.affine_image(map.alpha, map.beta);
         let direct = OutputMetrics::from_samples(samples.iter().map(|&x| map.apply(x)).collect());
         assert!((via_map.expectation() - direct.expectation()).abs() < 1e-12);
         assert!((via_map.std_dev() - direct.std_dev()).abs() < 1e-12);

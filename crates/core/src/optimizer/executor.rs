@@ -20,9 +20,12 @@
 //!    window order, which composes bit-identically (worlds are
 //!    seed-addressed).
 //! 4. **Commit** (sequential, at the barrier) — in enumeration order,
-//!    missed columns assemble their `0..n` sample vectors, land their
-//!    staged metrics, and reused columns map their matched basis's
-//!    (by-now-committed) metrics through [`BasisStore::mapped`].
+//!    missed columns assemble their `0..n` sample vectors and land their
+//!    staged metrics (the basis and the result cell share one sample
+//!    buffer), and reused columns map their matched basis's
+//!    (by-now-committed) metrics through [`BasisStore::mapped`]. A mapped
+//!    cell is a lazy view over the basis's samples: reuse costs closed-form
+//!    moments and a refcount, never an `n`-sample copy.
 //!
 //! Because phases 2 and 4 replay the exact decision sequence of the
 //! sequential loop — same store contents at every probe, same candidate

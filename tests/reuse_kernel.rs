@@ -3,6 +3,8 @@
 //! `BasisStore::mapped` path. A session attached to the store a sweep
 //! built therefore serves every point from the sweep's bases and answers
 //! with exactly the sweep's numbers, paying only the fingerprint worlds.
+//! A session that refines a basis past the sweep's sample count leaves the
+//! finished sweep's cells pinned to the samples they were committed with.
 
 use std::sync::Arc;
 
@@ -77,4 +79,45 @@ fn session_on_swept_store_serves_sweep_bits_demand() {
 #[test]
 fn session_on_swept_store_serves_sweep_bits_synth_basis() {
     assert_session_replays_sweep(synth_sim(), 49, "SynthBasis(4)");
+}
+
+#[test]
+fn session_refinement_leaves_a_finished_sweep_pinned() {
+    let cfg = cfg();
+    let sim = synth_sim();
+    let shared = SharedBasisStore::new(sim.columns().len(), &cfg, Arc::new(AffineFamily));
+    let sweep = shared
+        .with_store_mut(|stores| SweepRunner::new(cfg.clone()).store(stores).run(&*sim))
+        .expect("sweep");
+    let pinned: Vec<Vec<_>> = sweep
+        .points
+        .iter()
+        .map(|p| p.metrics.iter().map(|m| (m.samples().into_owned(), *m.moments())).collect())
+        .collect();
+
+    // A session allowed past the sweep's n folds its fresh samples back
+    // into the basis a reused point was mapped from.
+    let p = sweep.points.iter().find(|p| p.reused_from[0].is_some()).expect("a reused point");
+    let id = p.reused_from[0].unwrap();
+    let basis_n = || shared.with_store(|s| s.shard(0).get(id).metrics.n());
+    let session_cfg = SessionConfig {
+        batch: 60,
+        n_target: 2 * cfg.n_samples,
+        ..SessionConfig::from_jigsaw(&cfg)
+    };
+    let mut session = InteractiveSession::attach(sim.clone(), session_cfg, shared.clone());
+    for _ in 0..4 {
+        session.refine_once(p.point_idx, 0).expect("refine");
+    }
+    assert!(basis_n() > cfg.n_samples, "the session refined basis {id:?}: n = {}", basis_n());
+
+    for (p, before) in sweep.points.iter().zip(&pinned) {
+        for (m, (samples, moments)) in p.metrics.iter().zip(before) {
+            assert_eq!(m.n(), samples.len(), "point {}: n", p.point_idx);
+            let now: Vec<u64> = m.samples().iter().map(|x| x.to_bits()).collect();
+            let then: Vec<u64> = samples.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(now, then, "point {}: samples", p.point_idx);
+            assert_eq!(m.moments(), moments, "point {}: moments", p.point_idx);
+        }
+    }
 }
